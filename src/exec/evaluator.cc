@@ -254,9 +254,9 @@ size_t Evaluator::MorselSelectDense(const Column& col, RowRange range,
 size_t Evaluator::MorselSelectCandidates(const Column& col, RowRange range,
                                          const Predicate& pred,
                                          const std::vector<uint8_t>* like_match,
-                                         const std::vector<oid>& candidates,
+                                         const oid* candidates, size_t n,
                                          Intermediate* result, OpMetrics* m) {
-  MorselSource src(0, candidates.size(), MorselRowsForNode(m->node_id));
+  MorselSource src(0, n, MorselRowsForNode(m->node_id));
   const size_t nm = src.num_morsels();
   if (nm < 2) return 0;
 
@@ -269,9 +269,8 @@ size_t Evaluator::MorselSelectCandidates(const Column& col, RowRange range,
         obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
     const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
     const double t0 = NowNs();
-    SelectCandidatesSpan(col, range, pred, like_match,
-                         candidates.data() + ms.begin, ms.size(), &frags[i],
-                         &accesses[i], simd_ops_);
+    SelectCandidatesSpan(col, range, pred, like_match, candidates + ms.begin,
+                         ms.size(), &frags[i], &accesses[i], simd_ops_);
     // Ascending candidate span; a span crossing this clone's slice boundary
     // reports no domain (see MorselGather's domain note — the tuple counts
     // would be diluted by clip-only candidates).
@@ -299,23 +298,25 @@ size_t Evaluator::MorselSelectCandidates(const Column& col, RowRange range,
   return nm;
 }
 
-Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
+Status Evaluator::MorselGather(const Column& col, const oid* ids, size_t n,
                                RowRange range, bool sliced, AlignPolicy align,
-                               Intermediate* result, OpMetrics* m, bool* ran) {
+                               bool ascending, Intermediate* result,
+                               OpMetrics* m, bool* ran) {
   *ran = false;
-  MorselSource src(0, ids.size(), MorselRowsForNode(m->node_id));
+  MorselSource src(0, n, MorselRowsForNode(m->node_id));
   const size_t nm = src.num_morsels();
   if (nm < 2) return Status::OK();
   *ran = true;
   // Candidate row ids from selects are ascending, so [first, last+1) is the
   // base-row domain this morsel covers; the skew-aware mutator validates
   // monotonicity before using it (pairs-fed id lists may be unsorted). A
-  // sliced clone only owns its slice's share of the candidate span — a
+  // clipping clone only owns its slice's share of the candidate span — a
   // morsel whose span crosses the slice boundary (fully or partially) has
   // its tuple counts diluted by clip-only candidates, so its domain is
   // reported unknown and the operator's tuple-skew signal is withheld
-  // rather than mistaking clipping for skew.
-  auto domain = [&ids, &range, sliced](const Morsel& ms) {
+  // rather than mistaking clipping for skew. (A clone that narrowed an
+  // ascending list arrives here unsliced: every morsel is in-slice.)
+  auto domain = [ids, &range, sliced](const Morsel& ms) {
     uint64_t db = ids[ms.begin];
     uint64_t de = ids[ms.end - 1] + 1;
     if (sliced && (db < range.begin || de > range.end)) {
@@ -331,11 +332,11 @@ Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
   if (!(sliced && align == AlignPolicy::kAdjust)) {
     const size_t hbase = result->head.size();
     const uint64_t vbase = result->values.size();
-    result->head.resize(hbase + ids.size());
+    result->head.resize(hbase + n);
     if (result->values.is_f64()) {
-      result->values.f64.resize(vbase + ids.size());
+      result->values.f64.resize(vbase + n);
     } else {
-      result->values.i64.resize(vbase + ids.size());
+      result->values.i64.resize(vbase + n);
     }
     std::vector<Status> statuses(nm);
     std::vector<MorselMetrics> direct_mm(nm);
@@ -345,10 +346,11 @@ Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
           obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
       const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
       const double t0 = NowNs();
-      statuses[i] = GatherRowsAt(col, ids.data() + ms.begin, ms.size(), range,
+      statuses[i] = GatherRowsAt(col, ids + ms.begin, ms.size(), range,
                                  /*strict_sliced=*/sliced,
                                  result->head.data() + hbase + ms.begin,
-                                 &result->values, vbase + ms.begin, simd_ops_);
+                                 &result->values, vbase + ms.begin, simd_ops_,
+                                 ascending);
       const auto [db, de] = domain(ms);
       direct_mm[i] =
           MorselMetrics{ms.size(), ms.size(), NowNs() - t0, worker, db, de};
@@ -385,8 +387,8 @@ Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
     const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
     const double t0 = NowNs();
     frags[i].status =
-        GatherRowsSpan(col, ids.data() + ms.begin, ms.size(), range, sliced,
-                       align, &frags[i].head, &frags[i].values, simd_ops_);
+        GatherRowsSpan(col, ids + ms.begin, ms.size(), range, sliced, align,
+                       &frags[i].head, &frags[i].values, simd_ops_);
     const auto [db, de] = domain(ms);
     mm[i] = MorselMetrics{ms.size(), frags[i].values.size(), NowNs() - t0,
                           worker, db, de};
@@ -840,7 +842,8 @@ Status Evaluator::ExecSelect(const PlanNode& node, const ExecContext& ctx,
 
   // Candidate-list form (algebra.subselect with candidates). Candidate
   // scanning is sequential; the value lookups are random gathers into this
-  // clone's slice.
+  // clone's slice. The output is a subsequence of the candidates (or of the
+  // dense range), so it is ascending whenever they are.
   const Intermediate* in = nullptr;
   if (!node.inputs.empty()) {
     APQ_INPUT_OF(ctx, node.inputs[0], &in);
@@ -849,11 +852,24 @@ Status Evaluator::ExecSelect(const PlanNode& node, const ExecContext& ctx,
     }
     m->tuples_in = in->rowids.size();
     m->random_working_set = range.size() * DataTypeWidth(col.type());
+    result->ascending = in->ascending;
   } else {
     m->tuples_in = range.size();
+    result->ascending = true;
   }
 
   if (options_.use_kernels) {
+    // An ascending candidate list is narrowed to this clone's range by
+    // binary search; the clipping kernel then scans only that span. The
+    // metrics still count the whole list scanned (tuples_in above), so the
+    // cost model is blind to the narrowing.
+    const oid* cand = nullptr;
+    size_t ncand = 0;
+    if (in) {
+      cand = in->rowids.data();
+      ncand = in->rowids.size();
+      if (in->ascending) NarrowAscending(&cand, &ncand, range);
+    }
     // Morsel-driven path first: splits the input across the work-stealing
     // scheduler and concatenates per-morsel fragments in input order. Returns
     // 0 when disabled or when the input fits in a single morsel, in which
@@ -861,14 +877,14 @@ Status Evaluator::ExecSelect(const PlanNode& node, const ExecContext& ctx,
     size_t nm = 0;
     if (MorselsEnabled()) {
       nm = in ? MorselSelectCandidates(col, range, node.pred, &like_match,
-                                       in->rowids, result, m)
+                                       cand, ncand, result, m)
               : MorselSelectDense(col, range, node.pred, &like_match, result,
                                   m);
     }
     if (nm == 0) {
       if (in) {
-        SelectCandidates(col, range, node.pred, &like_match, in->rowids,
-                         &result->rowids, &m->random_accesses, simd_ops_);
+        SelectCandidatesSpan(col, range, node.pred, &like_match, cand, ncand,
+                             &result->rowids, &m->random_accesses, simd_ops_);
       } else {
         SelectDense(col, range, node.pred, &like_match, &result->rowids,
                     simd_ops_);
@@ -941,14 +957,28 @@ Status Evaluator::ExecFetchJoin(const PlanNode& node, const ExecContext& ctx,
   // sibling clones (covering the neighbouring slices) produce the rest.
   bool sliced = node.has_slice;
   if (options_.use_kernels) {
+    const bool ascending =
+        in->kind == Intermediate::Kind::kRowIds && in->ascending;
+    const oid* id_data = ids->data();
+    size_t n = ids->size();
+    if (ascending && sliced && node.align == AlignPolicy::kAdjust) {
+      // The in-slice ids of an ascending list are one contiguous run: check
+      // the whole list against the column first (an id beyond it fails as
+      // on the clip path), then gather just that run, unclipped.
+      APQ_RETURN_NOT_OK(BoundsCheckIds(col, id_data, n, /*ascending=*/true));
+      NarrowAscending(&id_data, &n, range);
+      sliced = false;
+    }
     bool morsels_ran = false;
     if (MorselsEnabled()) {
-      APQ_RETURN_NOT_OK(MorselGather(col, *ids, range, sliced, node.align,
-                                     result, m, &morsels_ran));
+      APQ_RETURN_NOT_OK(MorselGather(col, id_data, n, range, sliced,
+                                     node.align, ascending, result, m,
+                                     &morsels_ran));
     }
     if (!morsels_ran) {
-      APQ_RETURN_NOT_OK(GatherRows(col, *ids, range, sliced, node.align,
-                                   &result->head, &result->values, simd_ops_));
+      APQ_RETURN_NOT_OK(GatherRowsSpan(col, id_data, n, range, sliced,
+                                       node.align, &result->head,
+                                       &result->values, simd_ops_, ascending));
     }
   } else {
     result->head.reserve(ids->size());
@@ -1041,12 +1071,21 @@ Status Evaluator::ExecJoin(const PlanNode& node, const ExecContext& ctx,
       RowRange range = node.has_slice ? node.slice : in->origin;
       result->origin = range;
       m->tuples_in = in->rowids.size();
-      const std::vector<oid>& cand = in->rowids;
-      run_probe(cand.size(), [&](uint64_t b, uint64_t e, std::vector<oid>* l,
-                                 std::vector<oid>* r) {
+      // A sliced clone over an ascending list probes only the in-slice span
+      // (binary search) instead of clipping every id; the scalar
+      // interpreter keeps the clip loop as the reference.
+      const oid* cand = in->rowids.data();
+      size_t n = in->rowids.size();
+      bool clip = node.has_slice;
+      if (clip && in->ascending && options_.use_kernels) {
+        NarrowAscending(&cand, &n, range);
+        clip = false;
+      }
+      run_probe(n, [&](uint64_t b, uint64_t e, std::vector<oid>* l,
+                       std::vector<oid>* r) {
         for (uint64_t i = b; i < e; ++i) {
           oid row = cand[i];
-          if (node.has_slice && !range.Contains(row)) continue;
+          if (clip && !range.Contains(row)) continue;
           probe_into(outer.i64()[row], row, l, r);
         }
       });
@@ -1401,7 +1440,16 @@ Status Evaluator::ExecUnion(const PlanNode& node, const ExecContext& ctx,
       size_t total = 0;
       for (const auto* in : ins) total += in->rowids.size();
       result->rowids.reserve(total);
+      // Ascending inputs that abut in order (each starts at or after the
+      // last id of the one before) concatenate to an ascending list: an
+      // O(fan-in) check over the inputs' ends.
+      result->ascending = true;
       for (const auto* in : ins) {
+        if (!in->ascending ||
+            (!in->rowids.empty() && !result->rowids.empty() &&
+             in->rowids.front() < result->rowids.back())) {
+          result->ascending = false;
+        }
         result->rowids.insert(result->rowids.end(), in->rowids.begin(),
                               in->rowids.end());
         result->origin.begin = std::min(result->origin.begin, in->origin.begin);
@@ -1680,17 +1728,30 @@ Status Evaluator::ExecSort(const PlanNode& node, const ExecContext& ctx,
     }
     const Column& col = *node.column;
     const RowRange range = node.has_slice ? node.slice : in->origin;
+    // An ascending list is bounds-checked whole in O(1), then only its
+    // in-slice span is gathered (binary search); other lists and the scalar
+    // interpreter check and clip id by id.
+    const oid* ids = in->rowids.data();
+    size_t n_ids = in->rowids.size();
+    bool clip = node.has_slice;
+    if (clip && in->ascending && options_.use_kernels) {
+      APQ_RETURN_NOT_OK(BoundsCheckIds(col, ids, n_ids, /*ascending=*/true,
+                                       "sort"));
+      NarrowAscending(&ids, &n_ids, range);
+      clip = false;
+    }
     ValueVec vals = MakeVecLike(col);
     std::vector<oid> head;
-    head.reserve(in->rowids.size());
-    vals.Reserve(in->rowids.size());
-    for (oid row : in->rowids) {
+    head.reserve(n_ids);
+    vals.Reserve(n_ids);
+    for (size_t i = 0; i < n_ids; ++i) {
+      const oid row = ids[i];
       if (row >= col.size()) {
         return Status::Misaligned("sort rowid " + std::to_string(row) +
                                   " beyond column '" + col.name() + "' size " +
                                   std::to_string(col.size()));
       }
-      if (node.has_slice && !range.Contains(row)) continue;
+      if (clip && !range.Contains(row)) continue;
       head.push_back(row);
       GatherInto(col, row, &vals);
     }

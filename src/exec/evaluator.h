@@ -54,7 +54,11 @@ struct OpMetrics {
                              // the operator ran whole-column, no tasks)
   uint64_t queue_wait_ns = 0;  // summed scheduler queue-wait of its tasks
   /// Per-morsel breakdown in morsel (= input) order; empty when the operator
-  /// ran whole-column. Morsel tuple counts sum exactly to tuples_in/out.
+  /// ran whole-column. Morsel tuple counts sum exactly to tuples_in/out,
+  /// except where the operator ran over less than its input: a sliced clone
+  /// that narrowed an ascending candidate list splits only the in-slice span
+  /// (its morsels sum to the in-slice count), and a sort's runs sum to
+  /// sort_rows.
   std::vector<MorselMetrics> morsels;
 };
 
@@ -310,17 +314,19 @@ class Evaluator {
                            const Predicate& pred,
                            const std::vector<uint8_t>* like_match,
                            Intermediate* result, OpMetrics* m);
-  /// Morsel-parallel select over a candidate list.
+  /// Morsel-parallel select over the candidate span candidates[0..n).
   size_t MorselSelectCandidates(const Column& col, RowRange range,
                                 const Predicate& pred,
                                 const std::vector<uint8_t>* like_match,
-                                const std::vector<oid>& candidates,
+                                const oid* candidates, size_t n,
                                 Intermediate* result, OpMetrics* m);
-  /// Morsel-parallel fetch-join gather; on success appends to result->head /
-  /// result->values. `*ran` reports whether the morsel path was taken.
-  Status MorselGather(const Column& col, const std::vector<oid>& ids,
+  /// Morsel-parallel fetch-join gather over ids[0..n); on success appends to
+  /// result->head / result->values. `*ran` reports whether the morsel path
+  /// was taken. `ascending` only speeds up the bounds check.
+  Status MorselGather(const Column& col, const oid* ids, size_t n,
                       RowRange range, bool sliced, AlignPolicy align,
-                      Intermediate* result, OpMetrics* m, bool* ran);
+                      bool ascending, Intermediate* result, OpMetrics* m,
+                      bool* ran);
 
   /// Morsel-parallel group-by ingest over keys[0..n) (exec/agg/): fills
   /// result->group_ids / group_keys.i64 in the scalar first-occurrence

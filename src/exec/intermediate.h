@@ -47,7 +47,8 @@ struct ValueVec {
 struct Intermediate {
   enum class Kind : uint8_t {
     kNone = 0,
-    kRowIds,      // sorted candidate row ids into a base table
+    kRowIds,      // candidate row ids into a base table (known sorted
+                  // only when `ascending` is set)
     kValues,      // materialized values, optionally with head row ids
     kPairs,       // join result: (left row id, right row id) pairs
     kGroups,      // group ids per input row + distinct group keys
@@ -62,6 +63,11 @@ struct Intermediate {
 
   // kRowIds (also the left side of kPairs).
   std::vector<oid> rowids;
+  // kRowIds: `rowids` is non-decreasing. Set by a dense select, by a
+  // candidate select over an ascending list, and by an exchange union whose
+  // inputs are ascending and abut in order. Sliced consumers then narrow the
+  // list to their slice by binary search instead of clipping every id.
+  bool ascending = false;
   // kPairs: right-side row ids, parallel to rowids.
   std::vector<oid> rrowids;
 

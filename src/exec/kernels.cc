@@ -366,8 +366,8 @@ void GatherAt(const T* src, const oid* ids, size_t n, oid* hdst, T* vdst,
   GatherVals(src, ids, n, vdst, ops);
 }
 
-Status MisalignedBeyond(const Column& col, oid id) {
-  return Status::Misaligned("fetchjoin rowid " + std::to_string(id) +
+Status MisalignedBeyond(const Column& col, oid id, const char* op) {
+  return Status::Misaligned(std::string(op) + " rowid " + std::to_string(id) +
                             " beyond column '" + col.name() + "' size " +
                             std::to_string(col.size()));
 }
@@ -393,30 +393,46 @@ Status StrictCheckIds(const Column& col, const oid* ids, size_t n,
   }
   if (bad != 0) {
     for (size_t i = 0; i < n; ++i) {
-      if (ids[i] >= csize) return MisalignedBeyond(col, ids[i]);
+      if (ids[i] >= csize) return MisalignedBeyond(col, ids[i], "fetchjoin");
       if (!range.Contains(ids[i])) return MisalignedOutside(col, ids[i], range);
     }
   }
   return Status::OK();
 }
 
-// Bounds pre-pass (vectorizes to a max-reduction): only on failure do we
-// rescan for the first offending id, to report the same error the scalar
-// interpreter would.
-Status BoundsCheckIds(const Column& col, const oid* ids, size_t n) {
+}  // namespace
+
+void NarrowAscending(const oid** ids, size_t* n, RowRange range) {
+  const oid* lo = std::lower_bound(*ids, *ids + *n, range.begin);
+  const oid* hi = std::lower_bound(lo, *ids + *n, range.end);
+  *ids = lo;
+  *n = static_cast<size_t>(hi - lo);
+}
+
+Status BoundsCheckIds(const Column& col, const oid* ids, size_t n,
+                      bool ascending, const char* op) {
+  if (n == 0) return Status::OK();
+  if (ascending) {
+    // The largest id is the last; the first offender is the first id at or
+    // past the column end.
+    if (ids[n - 1] < col.size()) return Status::OK();
+    return MisalignedBeyond(
+        col, *std::lower_bound(ids, ids + n, static_cast<oid>(col.size())), op);
+  }
+  // Max-reduction pre-pass (vectorizes): only on failure do we rescan for
+  // the first offending id, to report the same error the scalar interpreter
+  // would.
   oid max_id = 0;
   for (size_t i = 0; i < n; ++i) max_id = ids[i] > max_id ? ids[i] : max_id;
-  if (n > 0 && max_id >= col.size()) {
+  if (max_id >= col.size()) {
     oid bad = max_id;
     for (size_t i = 0; i < n; ++i) {
       if (ids[i] >= col.size()) { bad = ids[i]; break; }
     }
-    return MisalignedBeyond(col, bad);
+    return MisalignedBeyond(col, bad, op);
   }
   return Status::OK();
 }
-
-}  // namespace
 
 std::vector<uint8_t> BuildLikeMatch(const Column& col, const Predicate& p) {
   const auto& dict = col.dictionary();
@@ -449,14 +465,6 @@ void SelectDense(const Column& col, RowRange range, const Predicate& pred,
                 [&](auto p) { DenseLoop(data, range.begin, range.end, p, out); });
   }
   obs::ChargeTransient((out->size() - before) * sizeof(oid));
-}
-
-void SelectCandidates(const Column& col, RowRange range, const Predicate& pred,
-                      const std::vector<uint8_t>* like_match,
-                      const std::vector<oid>& candidates, std::vector<oid>* out,
-                      uint64_t* random_accesses, const simd::SimdOps* ops) {
-  SelectCandidatesSpan(col, range, pred, like_match, candidates.data(),
-                       candidates.size(), out, random_accesses, ops);
 }
 
 void SelectCandidatesSpan(const Column& col, RowRange range,
@@ -496,12 +504,12 @@ Status GatherRows(const Column& col, const std::vector<oid>& ids,
 Status GatherRowsSpan(const Column& col, const oid* ids, size_t n,
                       RowRange range, bool sliced, AlignPolicy align,
                       std::vector<oid>* head, ValueVec* values,
-                      const simd::SimdOps* ops) {
+                      const simd::SimdOps* ops, bool ascending) {
   if (sliced && align == AlignPolicy::kStrict) {
     APQ_RETURN_NOT_OK(StrictCheckIds(col, ids, n, range));
     sliced = false;  // all ids verified in-slice: take the unclipped gather
   } else {
-    APQ_RETURN_NOT_OK(BoundsCheckIds(col, ids, n));
+    APQ_RETURN_NOT_OK(BoundsCheckIds(col, ids, n, ascending));
   }
   const size_t before =
       col.type() == DataType::kFloat64 ? values->f64.size() : values->i64.size();
@@ -521,11 +529,11 @@ Status GatherRowsSpan(const Column& col, const oid* ids, size_t n,
 Status GatherRowsAt(const Column& col, const oid* ids, size_t n,
                     RowRange range, bool strict_sliced, oid* head_dst,
                     ValueVec* values, uint64_t offset,
-                    const simd::SimdOps* ops) {
+                    const simd::SimdOps* ops, bool ascending) {
   if (strict_sliced) {
     APQ_RETURN_NOT_OK(StrictCheckIds(col, ids, n, range));
   } else {
-    APQ_RETURN_NOT_OK(BoundsCheckIds(col, ids, n));
+    APQ_RETURN_NOT_OK(BoundsCheckIds(col, ids, n, ascending));
   }
   if (col.type() == DataType::kFloat64) {
     GatherAt(col.f64().data(), ids, n, head_dst, values->f64.data() + offset,

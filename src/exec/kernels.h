@@ -44,25 +44,31 @@ void SelectDense(const Column& col, RowRange range, const Predicate& pred,
                  const std::vector<uint8_t>* like_match, std::vector<oid>* out,
                  const simd::SimdOps* ops = nullptr);
 
-/// Candidate-list select: like SelectDense but scanning `candidates` instead
-/// of the dense range. Candidates outside `range` are clipped (paper Fig 9
-/// boundary adjustment); `*random_accesses` receives the number of in-range
-/// candidates (each costs a random gather into the slice).
-void SelectCandidates(const Column& col, RowRange range, const Predicate& pred,
-                      const std::vector<uint8_t>* like_match,
-                      const std::vector<oid>& candidates, std::vector<oid>* out,
-                      uint64_t* random_accesses,
-                      const simd::SimdOps* ops = nullptr);
-
-/// Span form of SelectCandidates, scanning `candidates[0..n)`. The morsel
-/// executor runs one span per morsel; concatenating the outputs in span order
-/// equals one whole-list call.
+/// Candidate-list select: like SelectDense but scanning `candidates[0..n)`
+/// instead of the dense range. Candidates outside `range` are clipped (paper
+/// Fig 9 boundary adjustment); `*random_accesses` receives the number of
+/// in-range candidates (each costs a random gather into the slice). The
+/// morsel executor runs one span per morsel; concatenating the outputs in
+/// span order equals one whole-list call.
 void SelectCandidatesSpan(const Column& col, RowRange range,
                           const Predicate& pred,
                           const std::vector<uint8_t>* like_match,
                           const oid* candidates, size_t n,
                           std::vector<oid>* out, uint64_t* random_accesses,
                           const simd::SimdOps* ops = nullptr);
+
+/// Narrows the ascending (non-decreasing) id list (*ids)[0..*n) in place to
+/// the run of ids inside `range`: two binary searches. A sliced clone runs
+/// its unclipped kernel over this run instead of clipping the whole list
+/// (paper Fig 9 boundary adjustment, as MonetDB slices sorted candidate
+/// lists).
+void NarrowAscending(const oid** ids, size_t* n, RowRange range);
+
+/// Misaligned error for the first id of ids[0..n) at or past the end of
+/// `col` ("<op> rowid <id> beyond column ..."), OK when there is none. An
+/// ascending list is checked with one look at its last id.
+Status BoundsCheckIds(const Column& col, const oid* ids, size_t n,
+                      bool ascending, const char* op = "fetchjoin");
 
 /// Fetch-join gather: materializes col[id] for every id in `ids` into
 /// `values` (and the surviving ids into `head`), in input order.
@@ -78,10 +84,13 @@ Status GatherRows(const Column& col, const std::vector<oid>& ids,
 /// Span form of GatherRows over `ids[0..n)`, for per-morsel gathers.
 /// Error selection is per-span first-offender, so taking the error of the
 /// lowest-indexed failing span reproduces the whole-list error exactly.
+/// `ascending` declares the ids non-decreasing, which makes the
+/// beyond-column check O(1); it never changes the output.
 Status GatherRowsSpan(const Column& col, const oid* ids, size_t n,
                       RowRange range, bool sliced, AlignPolicy align,
                       std::vector<oid>* head, ValueVec* values,
-                      const simd::SimdOps* ops = nullptr);
+                      const simd::SimdOps* ops = nullptr,
+                      bool ascending = false);
 
 /// Positional span gather for morsel execution when every id yields exactly
 /// one output value (any case except slice + kAdjust, whose clipping makes
@@ -89,11 +98,13 @@ Status GatherRowsSpan(const Column& col, const oid* ids, size_t n,
 /// semantics when `strict_sliced`, beyond-column bounds otherwise — then
 /// writes ids[i] to head_dst[i] and col[ids[i]] to values position
 /// offset + i. head_dst and *values must already be sized; disjoint spans of
-/// one destination may be written concurrently.
+/// one destination may be written concurrently. `ascending` as in
+/// GatherRowsSpan.
 Status GatherRowsAt(const Column& col, const oid* ids, size_t n,
                     RowRange range, bool strict_sliced, oid* head_dst,
                     ValueVec* values, uint64_t offset,
-                    const simd::SimdOps* ops = nullptr);
+                    const simd::SimdOps* ops = nullptr,
+                    bool ascending = false);
 
 }  // namespace apq
 

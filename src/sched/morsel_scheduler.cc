@@ -109,7 +109,9 @@ double MorselScheduler::RunTask(const Task& t, int worker) {
     (*job->fn)(t.index, worker);
   }
   const double t1 = NowNs();
-  if (obs::AccountingEnabled() && job->query_id != 0) {
+  // Outside an Engine query (id 0) the task still bills its operator;
+  // BillTask skips the query block.
+  if (obs::AccountingEnabled()) {
     obs::BillTask(job->query_id, job->op_acct, t1 - t0,
                   t0 - job->submit_ns);
   }

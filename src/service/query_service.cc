@@ -1,6 +1,7 @@
 #include "service/query_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -296,6 +298,20 @@ void QueryService::ReaderLoop() {
         timeval tv{5, 0};
         ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
         ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+        // A response ends in a small write; under Nagle it would wait for
+        // the client's delayed ACK (~40 ms). Failure only costs latency, so
+        // the session is kept.
+        const int nodelay = 1;
+        if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         sizeof(nodelay)) != 0) {
+          static std::atomic<bool> warned{false};
+          if (!warned.exchange(true)) {
+            std::fprintf(stderr,
+                         "apq: service: TCP_NODELAY on an accepted session "
+                         "failed (%s); replies may wait on delayed ACKs\n",
+                         std::strerror(errno));
+          }
+        }
         std::lock_guard<std::mutex> lock(mu_);
         sessions_.emplace(fd, std::make_shared<Session>(fd));
         m_sessions_->Set(static_cast<int64_t>(sessions_.size()));

@@ -287,6 +287,46 @@ TEST(SkewFeedbackTest, RepartitioningHalvesConvergedSkewWithIdenticalResults) {
   }
 }
 
+TEST(SkewAdaptationTest, NarrowedClonesLeaveTheAdaptiveTrajectoryUnchanged) {
+  // The converged skewed-select plan feeds one ascending candidate list to
+  // many sliced fetch-join clones, which the kernels narrow by binary
+  // search. The scalar interpreter clips every id instead. The cost model
+  // must not tell the two apart: same runs, same simulated times, same GME.
+  if (Evaluator::ForcedEnvMorselRows() != 0) {
+    GTEST_SKIP() << "forced morsels feed wall-clock skew into the mutator, "
+                    "which the scalar interpreter never sees";
+  }
+  SkewConfig cfg;
+  cfg.rows = 200'000;
+  auto cat = GenerateSkewed(cfg);
+  auto plan = SkewedSelectPlan(*cat, cfg, 50);
+  ASSERT_TRUE(plan.ok());
+  auto run = [&](bool use_kernels) {
+    EngineConfig ecfg = EngineConfig::WithSim(SimConfig::Cores(4, 4));
+    ecfg.use_kernels = use_kernels;
+    ecfg.verify_results = true;
+    Engine engine(ecfg);
+    auto out = engine.RunAdaptive(plan.ValueOrDie());
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.MoveValueOrDie();
+  };
+  const AdaptiveOutcome clip = run(/*use_kernels=*/false);
+  const AdaptiveOutcome narrow = run(/*use_kernels=*/true);
+
+  // The loop did build sliced fetch-join clones for the kernels to narrow.
+  EXPECT_GE(PartitionSlices(narrow.gme_plan, OpKind::kFetchJoin).size(), 2u);
+  EXPECT_EQ(narrow.total_runs, clip.total_runs);
+  EXPECT_EQ(narrow.gme_run, clip.gme_run);
+  EXPECT_EQ(narrow.serial_time_ns, clip.serial_time_ns);
+  EXPECT_EQ(narrow.gme_time_ns, clip.gme_time_ns);
+  ASSERT_EQ(narrow.runs.size(), clip.runs.size());
+  for (size_t i = 0; i < narrow.runs.size(); ++i) {
+    EXPECT_EQ(narrow.runs[i].time_ns, clip.runs[i].time_ns) << "run " << i;
+  }
+  EXPECT_EQ(narrow.gme_plan.ToString(), clip.gme_plan.ToString());
+  EXPECT_TRUE(IntermediatesEqual(narrow.result, clip.result, 0.0));
+}
+
 TEST(SkewAdaptationTest, DynamicPartitionsBeatStaticOnSkewedData) {
   // Fig 12's core claim: adaptive (dynamic) partitioning handles execution
   // skew better than static equi-range partitioning at the same DOP.

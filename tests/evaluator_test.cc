@@ -1,8 +1,14 @@
 // Unit tests for every physical operator in the evaluator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "exec/evaluator.h"
 #include "plan/builder.h"
+#include "util/rng.h"
 
 namespace apq {
 namespace {
@@ -385,6 +391,308 @@ TEST_F(EvaluatorTest, MisalignedBinaryMapIsAnError) {
   EvalResult er;
   Status st = eval_.Execute(plan, &er);
   EXPECT_EQ(st.code(), StatusCode::kMisaligned);
+}
+
+// ---- sliced clones over sorted candidate lists ----------------------------
+// A sliced clone whose candidate list is flagged ascending narrows it to its
+// slice by binary search; unflagged lists and the scalar interpreter clip id
+// by id. Every shape must reproduce the scalar interpreter's bytes and
+// metrics, whole-column and morselized.
+
+// Byte-level equality (floats compared bit for bit), including the flag.
+std::string ByteDiff(const Intermediate& a, const Intermediate& b) {
+  if (a.kind != b.kind) return "kind";
+  if (!(a.origin == b.origin)) return "origin";
+  if (a.ascending != b.ascending) return "ascending flag";
+  if (a.rowids != b.rowids) return "rowids";
+  if (a.rrowids != b.rrowids) return "rrowids";
+  if (a.head != b.head) return "head";
+  if (a.values.type != b.values.type || a.values.i64 != b.values.i64) {
+    return "int values";
+  }
+  if (a.values.f64.size() != b.values.f64.size() ||
+      (!a.values.f64.empty() &&
+       std::memcmp(a.values.f64.data(), b.values.f64.data(),
+                   a.values.f64.size() * sizeof(double)) != 0)) {
+    return "float values";
+  }
+  return "";
+}
+
+const OpMetrics* MetricsOf(const EvalResult& er, int node_id) {
+  for (const auto& m : er.metrics) {
+    if (m.node_id == node_id) return &m;
+  }
+  return nullptr;
+}
+
+enum class Consumer { kSelect, kFetchAdjust, kFetchStrict, kJoin, kSort };
+
+class NarrowingTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kRows = 5000;
+
+  void SetUp() override {
+    Rng rng(17);
+    std::vector<int64_t> sel(kRows), fk(kRows);
+    std::vector<double> vals(kRows);
+    for (uint64_t i = 0; i < kRows; ++i) {
+      // Rows [1000, 1500) never pass the select: a slice with no candidates.
+      sel[i] = i >= 1000 && i < 1500 ? 999 : rng.UniformRange(0, 599);
+      fk[i] = rng.UniformRange(0, 49);
+      vals[i] = rng.NextDouble() * 100.0;
+    }
+    sel[2000] = 0;  // the duplicated id of the union case passes
+    sel_ = Column::MakeInt64("sel", std::move(sel));
+    fk_ = Column::MakeInt64("fk", std::move(fk));
+    vals_ = Column::MakeFloat64("vals", std::move(vals));
+    // Inner keys 0..49, keys 0..9 twice: probes with several matches.
+    std::vector<int64_t> pk(60);
+    for (size_t i = 0; i < pk.size(); ++i) pk[i] = static_cast<int64_t>(i % 50);
+    pk_ = Column::MakeInt64("pk", std::move(pk));
+    // Longer than the others: its row ids run past their end.
+    wide_ = Column::MakeInt64("wide", std::vector<int64_t>(kRows + 1000, 0));
+  }
+
+  // A select over `col` restricted to `slice` (whole column when empty).
+  static int SelectOver(PlanBuilder* b, const Column* col, RowRange slice,
+                        int64_t hi = 399) {
+    const int s = b->Select(col, Predicate::RangeI64(0, hi));
+    if (slice.size() > 0) {
+      b->plan().node(s).has_slice = true;
+      b->plan().node(s).slice = slice;
+    }
+    return s;
+  }
+
+  static int Union(PlanBuilder* b, std::vector<int> inputs) {
+    PlanNode u;
+    u.kind = OpKind::kExchangeUnion;
+    u.inputs = std::move(inputs);
+    return b->plan().AddNode(std::move(u));
+  }
+
+  // Appends `what` over candidate list `cand`, sliced to `slice` when
+  // `sliced`, and finishes the plan. Returns the consumer's node id.
+  int AddConsumer(PlanBuilder* b, Consumer what, int cand, bool sliced,
+                  RowRange slice) {
+    int c = -1;
+    switch (what) {
+      case Consumer::kSelect:
+        c = b->Select(vals_.get(), Predicate::RangeF64(10.0, 80.0), cand);
+        break;
+      case Consumer::kFetchAdjust:
+      case Consumer::kFetchStrict:
+        c = b->FetchJoin(vals_.get(), cand);
+        b->plan().node(c).align = what == Consumer::kFetchStrict
+                                      ? AlignPolicy::kStrict
+                                      : AlignPolicy::kAdjust;
+        break;
+      case Consumer::kJoin:
+        c = b->Join(cand, pk_.get());
+        b->plan().node(c).column = fk_.get();
+        break;
+      case Consumer::kSort:
+        c = b->Sort(cand);
+        b->plan().node(c).column = vals_.get();
+        break;
+    }
+    b->plan().node(c).has_slice = sliced;
+    b->plan().node(c).slice = slice;
+    return c;
+  }
+
+  // Scalar interpreter (the clip-path oracle) vs kernels whole-column and
+  // morselized at 512-row morsels over 1, 2 and 4 workers.
+  static std::vector<ExecOptions> Tiers() {
+    std::vector<ExecOptions> tiers(1);
+    for (int workers : {1, 2, 4}) {
+      ExecOptions o;
+      o.use_morsels = true;
+      o.morsel_rows = 512;
+      o.morsel_workers = workers;
+      tiers.push_back(o);
+    }
+    return tiers;
+  }
+
+  static void ExpectMatchesScalar(const QueryPlan& plan, int consumer,
+                                  const std::string& what) {
+    ExecOptions so;
+    so.use_kernels = false;
+    Evaluator scalar(so);
+    EvalResult ref;
+    ASSERT_TRUE(scalar.Execute(plan, &ref).ok()) << what;
+    const OpMetrics* rm = MetricsOf(ref, consumer);
+    ASSERT_NE(rm, nullptr);
+    for (const ExecOptions& o : Tiers()) {
+      const std::string at = what + " morsels=" +
+                             std::to_string(o.use_morsels) + " workers=" +
+                             std::to_string(o.morsel_workers);
+      Evaluator eval(o);
+      EvalResult got;
+      ASSERT_TRUE(eval.Execute(plan, &got).ok()) << at;
+      EXPECT_EQ(ByteDiff(ref.result, got.result), "") << at;
+      const OpMetrics* gm = MetricsOf(got, consumer);
+      ASSERT_NE(gm, nullptr);
+      // The cost model must not see the narrowing: it still charges the
+      // whole candidate list scanned.
+      EXPECT_EQ(gm->tuples_in, rm->tuples_in) << at;
+      EXPECT_EQ(gm->tuples_out, rm->tuples_out) << at;
+      EXPECT_EQ(gm->random_accesses, rm->random_accesses) << at;
+      EXPECT_EQ(gm->bytes_in, rm->bytes_in) << at;
+    }
+  }
+
+  static void ExpectSameError(const QueryPlan& plan, const std::string& what) {
+    ExecOptions so;
+    so.use_kernels = false;
+    Evaluator scalar(so);
+    EvalResult ref;
+    const Status want = scalar.Execute(plan, &ref);
+    ASSERT_EQ(want.code(), StatusCode::kMisaligned) << what;
+    for (const ExecOptions& o : Tiers()) {
+      Evaluator eval(o);
+      EvalResult got;
+      const Status st = eval.Execute(plan, &got);
+      EXPECT_EQ(st.code(), want.code()) << what;
+      EXPECT_EQ(st.message(), want.message()) << what;
+    }
+  }
+
+  static constexpr Consumer kAll[] = {Consumer::kSelect, Consumer::kFetchAdjust,
+                                      Consumer::kJoin, Consumer::kSort};
+  static std::string Name(Consumer c) {
+    switch (c) {
+      case Consumer::kSelect: return "select";
+      case Consumer::kFetchAdjust: return "fetchjoin";
+      case Consumer::kFetchStrict: return "fetchjoin-strict";
+      case Consumer::kJoin: return "join";
+      case Consumer::kSort: return "sort";
+    }
+    return "?";
+  }
+
+  ColumnPtr sel_, fk_, vals_, pk_, wide_;
+};
+
+TEST_F(NarrowingTest, SlicedClonesOverADenseSelectMatchScalar) {
+  const RowRange slices[] = {
+      {1234, 3456},   // interior
+      {2000, 2000},   // empty
+      {1000, 1500},   // no candidates inside
+      {3500, kRows},  // ends at the column end
+      {0, kRows},     // the whole column
+  };
+  for (Consumer what : kAll) {
+    for (const RowRange& slice : slices) {
+      PlanBuilder b("narrow");
+      const int cand = SelectOver(&b, sel_.get(), {});
+      const int c = AddConsumer(&b, what, cand, /*sliced=*/true, slice);
+      QueryPlan plan = b.Result(c);
+      ASSERT_TRUE(plan.Validate().ok());
+      ExpectMatchesScalar(plan, c, Name(what) + " " + slice.ToString());
+    }
+    PlanBuilder b("unsliced");
+    const int c = AddConsumer(&b, what, SelectOver(&b, sel_.get(), {}),
+                              /*sliced=*/false, RowRange{});
+    ExpectMatchesScalar(b.Result(c), c, Name(what) + " unsliced");
+  }
+}
+
+TEST_F(NarrowingTest, AbuttingUnionWithDuplicateIdsIsNarrowed) {
+  // Three clones all keep row 2000: the union repeats it three times and is
+  // still non-decreasing, so the flag holds and the binary search must land
+  // on the right side of the run of duplicates.
+  const RowRange slices[] = {{2000, 2001}, {1500, 2000}, {2001, 2600},
+                             {1999, 2002}};
+  for (Consumer what : kAll) {
+    for (const RowRange& slice : slices) {
+      PlanBuilder b("dups");
+      const int u = Union(&b, {SelectOver(&b, sel_.get(), {0, 2001}),
+                               SelectOver(&b, sel_.get(), {2000, 2001}),
+                               SelectOver(&b, sel_.get(), {2000, kRows})});
+      const int c = AddConsumer(&b, what, u, /*sliced=*/true, slice);
+      QueryPlan plan = b.Result(c);
+      ASSERT_TRUE(plan.Validate().ok());
+      ExpectMatchesScalar(plan, c, Name(what) + " " + slice.ToString());
+
+      Evaluator eval;
+      EvalResult er;
+      ASSERT_TRUE(eval.Execute(plan, &er).ok());
+      const Intermediate& packed = er.intermediates.at(u);
+      EXPECT_TRUE(packed.ascending);
+      EXPECT_EQ(std::count(packed.rowids.begin(), packed.rowids.end(), 2000u),
+                3);
+    }
+  }
+}
+
+TEST_F(NarrowingTest, OutOfOrderUnionIsNotFlaggedAndClips) {
+  for (Consumer what : kAll) {
+    PlanBuilder b("unordered");
+    const int u = Union(&b, {SelectOver(&b, sel_.get(), {2500, kRows}),
+                             SelectOver(&b, sel_.get(), {0, 2500})});
+    const int c = AddConsumer(&b, what, u, /*sliced=*/true, {1800, 3300});
+    QueryPlan plan = b.Result(c);
+    ASSERT_TRUE(plan.Validate().ok());
+    ExpectMatchesScalar(plan, c, Name(what));
+
+    Evaluator eval;
+    EvalResult er;
+    ASSERT_TRUE(eval.Execute(plan, &er).ok());
+    EXPECT_FALSE(er.intermediates.at(u).ascending);
+    EXPECT_FALSE(er.result.ascending);
+  }
+}
+
+TEST_F(NarrowingTest, IdsBeyondTheColumnFailWithTheScalarMessage) {
+  // Candidates from a longer table: ids past the fetch/sort column fail
+  // even when they lie outside the clone's slice, with the first offender.
+  for (Consumer what :
+       {Consumer::kFetchAdjust, Consumer::kFetchStrict, Consumer::kSort}) {
+    for (const RowRange& slice :
+         {RowRange{1000, 2000}, RowRange{4000, kRows}, RowRange{0, 0}}) {
+      PlanBuilder b("beyond");
+      const int cand = b.Select(wide_.get(), Predicate::RangeI64(0, 0));
+      const int c = AddConsumer(&b, what, cand, /*sliced=*/true, slice);
+      ExpectSameError(b.Result(c), Name(what) + " " + slice.ToString());
+    }
+  }
+  // A select clips such ids silently, narrowed or not.
+  PlanBuilder b("beyond-select");
+  const int cand = b.Select(wide_.get(), Predicate::RangeI64(0, 0));
+  const int c = AddConsumer(&b, Consumer::kSelect, cand, /*sliced=*/true,
+                            {4000, kRows});
+  ExpectMatchesScalar(b.Result(c), c, "select beyond");
+}
+
+TEST_F(NarrowingTest, MorselsSplitOnlyTheInSliceSpan) {
+  // With morsels on, a narrowed clone splits just its slice's candidates:
+  // its morsels sum to the in-slice count, not to the list it was given.
+  for (Consumer what : {Consumer::kSelect, Consumer::kFetchAdjust}) {
+    PlanBuilder b("span");
+    const int cand = SelectOver(&b, sel_.get(), {});
+    const int c = AddConsumer(&b, what, cand, /*sliced=*/true, {1500, 4500});
+    QueryPlan plan = b.Result(c);
+    ExecOptions o;
+    o.use_morsels = true;
+    o.morsel_rows = 512;
+    o.morsel_workers = 2;
+    Evaluator eval(o);
+    if (eval.EffectiveMorselRows() >= 1000) {
+      GTEST_SKIP() << "a forced morsel size leaves the slice in one morsel";
+    }
+    EvalResult er;
+    ASSERT_TRUE(eval.Execute(plan, &er).ok());
+    const OpMetrics* m = MetricsOf(er, c);
+    ASSERT_NE(m, nullptr);
+    ASSERT_FALSE(m->morsels.empty()) << Name(what);
+    uint64_t in = 0;
+    for (const auto& ms : m->morsels) in += ms.tuples_in;
+    EXPECT_EQ(in, m->random_accesses) << Name(what);
+    EXPECT_LT(in, m->tuples_in) << Name(what);
+  }
 }
 
 }  // namespace

@@ -3,10 +3,13 @@
 //  - dynamic partitions of a reachable plan tile the base column
 //    (no repetition, no omission — paper §2.3's alignment requirements),
 //  - exchange unions preserve base-table order,
-//  - the convergence algorithm always terminates within its bounds.
+//  - the convergence algorithm always terminates within its bounds,
+//  - sliced clones over random candidate lists (narrowed by binary search
+//    when the list is flagged ascending) match the scalar interpreter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "adaptive/convergence.h"
 #include "adaptive/mutator.h"
@@ -165,6 +168,162 @@ TEST_P(UnionOrderTest, PackedRowIdsStaySorted) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ways, UnionOrderTest, ::testing::Range(0, 7));
+
+// ---------------------------------------------------------------------------
+// Narrowing: sliced consumers of random candidate lists.
+// ---------------------------------------------------------------------------
+
+// Byte-level equality (floats compared bit for bit), including the flag.
+std::string ByteDiff(const Intermediate& a, const Intermediate& b) {
+  if (a.kind != b.kind) return "kind";
+  if (!(a.origin == b.origin)) return "origin";
+  if (a.ascending != b.ascending) return "ascending flag";
+  if (a.rowids != b.rowids) return "rowids";
+  if (a.rrowids != b.rrowids) return "rrowids";
+  if (a.head != b.head) return "head";
+  if (a.values.type != b.values.type || a.values.i64 != b.values.i64) {
+    return "int values";
+  }
+  if (a.values.f64.size() != b.values.f64.size() ||
+      (!a.values.f64.empty() &&
+       std::memcmp(a.values.f64.data(), b.values.f64.data(),
+                   a.values.f64.size() * sizeof(double)) != 0)) {
+    return "float values";
+  }
+  return "";
+}
+
+class NarrowingFuzzTest : public ::testing::TestWithParam<int> {};
+
+// Random candidate lists — a union of sliced selects over random cut points,
+// sometimes overlapping (duplicate ids), sometimes out of order (flag off) —
+// feed a random sliced select, fetch-join (kAdjust or kStrict), join over
+// row ids or sort over row ids. The scalar interpreter clips id by id; the
+// kernels, whole-column and morselized, must give the same bytes, the same
+// error, and the same cost-model metrics.
+TEST_P(NarrowingFuzzTest, SlicedConsumersMatchScalarInterpreter) {
+  Rng rng(900 + GetParam());
+  for (int round = 0; round < 20; ++round) {
+    const uint64_t n = 1 + rng.Uniform(4000);
+    std::vector<int64_t> sel(n), fk(n);
+    std::vector<double> vals(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      sel[i] = rng.UniformRange(0, 99);
+      fk[i] = rng.UniformRange(0, 19);
+      vals[i] = rng.NextDouble();
+    }
+    auto sel_col = Column::MakeInt64("sel", std::move(sel));
+    auto fk_col = Column::MakeInt64("fk", std::move(fk));
+    auto val_col = Column::MakeFloat64("vals", std::move(vals));
+    std::vector<int64_t> pk(25);
+    for (size_t i = 0; i < pk.size(); ++i) pk[i] = static_cast<int64_t>(i % 20);
+    auto pk_col = Column::MakeInt64("pk", std::move(pk));
+
+    PlanBuilder b("narrow-fuzz");
+    const Predicate pred = Predicate::RangeI64(0, rng.UniformRange(0, 99));
+    const int pieces = 1 + static_cast<int>(rng.Uniform(4));
+    std::vector<uint64_t> cuts = {0, n};
+    for (int i = 1; i < pieces; ++i) cuts.push_back(rng.Uniform(n + 1));
+    std::sort(cuts.begin(), cuts.end());
+    std::vector<int> inputs;
+    for (int i = 0; i < pieces; ++i) {
+      RowRange r{cuts[i], cuts[i + 1]};
+      if (rng.Uniform(4) == 0) r.end = std::min<uint64_t>(n, r.end + 50);
+      const int s = b.Select(sel_col.get(), pred);
+      b.plan().node(s).has_slice = true;
+      b.plan().node(s).slice = r;
+      inputs.push_back(s);
+    }
+    if (rng.Uniform(3) == 0) std::reverse(inputs.begin(), inputs.end());
+    int cand = inputs[0];
+    int uni = -1;
+    if (pieces > 1) {
+      PlanNode u;
+      u.kind = OpKind::kExchangeUnion;
+      u.inputs = inputs;
+      uni = cand = b.plan().AddNode(std::move(u));
+    }
+
+    const int what = static_cast<int>(rng.Uniform(5));
+    int c = -1;
+    switch (what) {
+      case 0:
+        c = b.Select(val_col.get(), Predicate::RangeF64(0.2, 0.7), cand);
+        break;
+      case 1:
+      case 2:
+        c = b.FetchJoin(val_col.get(), cand);
+        b.plan().node(c).align =
+            what == 1 ? AlignPolicy::kAdjust : AlignPolicy::kStrict;
+        break;
+      case 3:
+        c = b.Join(cand, pk_col.get());
+        b.plan().node(c).column = fk_col.get();
+        break;
+      default:
+        c = b.Sort(cand);
+        b.plan().node(c).column = val_col.get();
+        break;
+    }
+    RowRange slice{rng.Uniform(n + 1), 0};
+    switch (rng.Uniform(4)) {
+      case 0: slice.end = slice.begin; break;  // empty
+      case 1: slice.end = n; break;            // ends at the column end
+      default: slice.end = slice.begin + rng.Uniform(n - slice.begin + 1);
+    }
+    b.plan().node(c).has_slice = rng.Uniform(8) != 0;
+    b.plan().node(c).slice = slice;
+    QueryPlan plan = b.Result(c);
+    ASSERT_TRUE(plan.Validate().ok());
+    const std::string at = "seed " + std::to_string(GetParam()) + " round " +
+                           std::to_string(round) + " consumer " +
+                           std::to_string(what) + " slice " + slice.ToString();
+
+    ExecOptions so;
+    so.use_kernels = false;
+    Evaluator scalar(so);
+    EvalResult ref;
+    const Status want = scalar.Execute(plan, &ref);
+    if (want.ok() && uni >= 0) {
+      // Over ascending inputs the union's flag is exact.
+      const Intermediate& packed = ref.intermediates.at(uni);
+      EXPECT_EQ(packed.ascending,
+                std::is_sorted(packed.rowids.begin(), packed.rowids.end()))
+          << at;
+    }
+
+    std::vector<ExecOptions> tiers(1);
+    for (int workers : {1, 2, 4}) {
+      ExecOptions o;
+      o.use_morsels = true;
+      o.morsel_rows = 512;
+      o.morsel_workers = workers;
+      tiers.push_back(o);
+    }
+    for (const ExecOptions& o : tiers) {
+      Evaluator eval(o);
+      EvalResult got;
+      const Status st = eval.Execute(plan, &got);
+      ASSERT_EQ(st.ok(), want.ok()) << at << ": " << st.ToString();
+      if (!want.ok()) {
+        EXPECT_EQ(st.code(), want.code()) << at;
+        EXPECT_EQ(st.message(), want.message()) << at;
+        continue;
+      }
+      EXPECT_EQ(ByteDiff(ref.result, got.result), "") << at;
+      ASSERT_EQ(got.metrics.size(), ref.metrics.size());
+      for (size_t i = 0; i < ref.metrics.size(); ++i) {
+        EXPECT_EQ(got.metrics[i].tuples_in, ref.metrics[i].tuples_in) << at;
+        EXPECT_EQ(got.metrics[i].random_accesses,
+                  ref.metrics[i].random_accesses)
+            << at;
+        EXPECT_EQ(got.metrics[i].bytes_in, ref.metrics[i].bytes_in) << at;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NarrowingFuzzTest, ::testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
 // Convergence termination across random execution-time landscapes.

@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/resource_tracker.h"
+#include "plan/builder.h"
 #include "sched/morsel_scheduler.h"
 #include "util/hash_clock.h"
 #include "workload/tpch.h"
@@ -247,6 +248,44 @@ TEST(ResourceTrackerTest, EvaluatorChargesReturnToZeroAcrossWorkerCounts) {
       EXPECT_FALSE(obs::SnapshotQueryResources(id, &qr));
     }
   }
+}
+
+TEST(ResourceTrackerTest, MorselTasksBillTheOperatorOutsideAnEngineQuery) {
+  // A bare Evaluator::Execute runs under query id 0. Its scheduler tasks
+  // still bill the operator block, so a morselized operator reports its
+  // tasks' cpu_ns and queue wait as it does under an Engine query (an
+  // unbilled operator falls back to its wall time and no queue wait).
+  AccountingGuard guard;
+  obs::SetAccountingEnabled(true);
+  ASSERT_EQ(obs::CurrentQueryId(), 0u);
+  std::vector<int64_t> vals(20000);
+  for (size_t i = 0; i < vals.size(); ++i) {
+    vals[i] = static_cast<int64_t>(i % 1000);
+  }
+  auto col = Column::MakeInt64("c", std::move(vals));
+  PlanBuilder b("bare");
+  const int s = b.Select(col.get(), Predicate::RangeI64(0, 499));
+  QueryPlan plan = b.Result(s);
+
+  ExecOptions o;
+  o.use_morsels = true;
+  o.morsel_rows = 512;
+  o.morsel_workers = 2;
+  Evaluator ev(o);
+  if (ev.EffectiveMorselRows() >= 20000) {
+    GTEST_SKIP() << "a forced morsel size leaves the table in one morsel";
+  }
+  EvalResult er;
+  ASSERT_TRUE(ev.Execute(plan, &er).ok());
+  bool saw_select = false;
+  for (const auto& m : er.metrics) {
+    if (m.kind != OpKind::kSelect) continue;
+    saw_select = true;
+    ASSERT_FALSE(m.morsels.empty());
+    EXPECT_GT(m.cpu_ns, 0u);
+    EXPECT_GT(m.queue_wait_ns, 0u);
+  }
+  EXPECT_TRUE(saw_select);
 }
 
 // ---- scheduler worker-health telemetry --------------------------------------
